@@ -93,6 +93,61 @@ func matmulRefBand(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
+// GatherAddRows computes dst = base + Σₖ b.Row(idx[k]), adding the rows in
+// the order idx lists them. It is the Matmul row kernel for a coefficient
+// row whose remaining nonzeros are all exactly 1 and whose positions the
+// caller already holds as integers: with base the product over the
+// preceding coefficients and idx ascending, dst is bitwise what
+// matmulRefBand computes for the full row (1·w == w, and the additions
+// arrive in the same ascending-k order) — without the multiplies and
+// without scanning the row for its nonzeros. dst and base have length
+// b.Cols; dst may alias base.
+func GatherAddRows(dst, base []float64, b *Matrix, idx []int32) {
+	c := b.Cols
+	if len(dst) != c || len(base) != c {
+		shapePanic("GatherAddRows", "%s %s over rows of %s", vec("dst", len(dst)), vec("base", len(base)), dims(b.Rows, c))
+	}
+	src := base
+	k := 0
+	for ; k+1 < len(idx); k += 2 {
+		i1, i2 := int(idx[k]), int(idx[k+1])
+		addRows2(dst, src, b.Data[i1*c:(i1+1)*c], b.Data[i2*c:(i2+1)*c])
+		src = dst
+	}
+	if k < len(idx) {
+		i1 := int(idx[k])
+		s1 := b.Data[i1*c : (i1+1)*c]
+		for t, v := range src {
+			dst[t] = v + s1[t]
+		}
+	} else if k == 0 {
+		copy(dst, base)
+	}
+}
+
+// addRows2 computes dst = (src + s1) + s2: axpy2 with both coefficients 1
+// and the accumulator read from src, so the first pair of a gather also
+// performs the copy of the base row.
+func addRows2(dst, src, s1, s2 []float64) {
+	n := len(dst) &^ 3
+	src = src[:len(dst)]
+	s1 = s1[:len(dst)]
+	s2 = s2[:len(dst)]
+	for t := 0; t < n; t += 4 {
+		v0 := src[t] + s1[t]
+		v1 := src[t+1] + s1[t+1]
+		v2 := src[t+2] + s1[t+2]
+		v3 := src[t+3] + s1[t+3]
+		dst[t] = v0 + s2[t]
+		dst[t+1] = v1 + s2[t+1]
+		dst[t+2] = v2 + s2[t+2]
+		dst[t+3] = v3 + s2[t+3]
+	}
+	for t := n; t < len(dst); t++ {
+		dst[t] = (src[t] + s1[t]) + s2[t]
+	}
+}
+
 // matmulNTRefBand: dst rows [lo, hi) of dst = a·bᵀ, dot form. Output
 // columns are consumed in pairs through the fused dot2 kernel — bitwise
 // identical to one dot per column, loading the shared a row half as often.

@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -141,4 +142,52 @@ func BenchmarkMatmul(b *testing.B) {
 		MatmulNT(dst, x, w)
 	}
 	b.SetBytes(int64(8 * 256 * 242 * 64))
+}
+
+// TestGatherAddRowsMatchesMatmulRow pins the kernel's contract: a base
+// product over a row's leading coefficients plus the gathered rows of its
+// trailing ones is bitwise the Matmul row over the whole coefficient row —
+// for even, odd and empty index lists, an odd width (the unroll tail), an
+// odd number of leading nonzeros (where Matmul's axpy2 pairs the last
+// prefix coefficient with the first one) and dst aliasing base.
+func TestGatherAddRowsMatchesMatmulRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, tc := range []struct{ prefix, suffix, c, nIdx int }{
+		{27, 96, 64, 24}, {6, 48, 64, 12}, {5, 20, 7, 3}, {4, 9, 5, 1}, {3, 8, 6, 0}, {0, 30, 64, 10},
+	} {
+		b := randMat(rng, tc.prefix+tc.suffix, tc.c)
+		full := NewMatrix(1, tc.prefix+tc.suffix)
+		for k := 0; k < tc.prefix; k++ {
+			full.Data[k] = rng.NormFloat64()
+		}
+		idx := make([]int32, 0, tc.nIdx)
+		for _, k := range rng.Perm(tc.suffix)[:tc.nIdx] {
+			idx = append(idx, int32(k))
+		}
+		slices.Sort(idx)
+		for _, k := range idx {
+			full.Data[tc.prefix+int(k)] = 1
+		}
+		want := NewMatrix(1, tc.c)
+		Matmul(want, full, b)
+
+		head := FromSlice(1, tc.prefix, full.Data[:tc.prefix])
+		bHead := FromSlice(tc.prefix, tc.c, b.Data[:tc.prefix*tc.c])
+		bTail := FromSlice(tc.suffix, tc.c, b.Data[tc.prefix*tc.c:])
+		base := NewMatrix(1, tc.c)
+		Matmul(base, head, bHead)
+		got := make([]float64, tc.c)
+		GatherAddRows(got, base.Data, bTail, idx)
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want.Data[j]) {
+				t.Fatalf("%+v col %d: gathered %g != Matmul %g", tc, j, got[j], want.Data[j])
+			}
+		}
+		GatherAddRows(base.Data, base.Data, bTail, idx) // in place
+		for j := range got {
+			if math.Float64bits(base.Data[j]) != math.Float64bits(want.Data[j]) {
+				t.Fatalf("%+v col %d: in-place gather %g != Matmul %g", tc, j, base.Data[j], want.Data[j])
+			}
+		}
+	}
 }

@@ -102,11 +102,18 @@ type Dense struct {
 	// training without clobbering each other's backprop state.
 	bIn, bOut, bDelta, bDIn *mat.Matrix
 
-	// Inference-only caches (see forwardBatchInfer): the In×Out weight
-	// transpose, built lazily from frozen weights, and its output
-	// workspace. Never copied by Clone, never touched by training.
+	// Inference-only caches (see ensureInferCache): the In×Out weight
+	// transpose and the output workspace of the inference passes. Never
+	// copied by Clone, never touched by training.
 	wt   *mat.Matrix
 	iOut *mat.Matrix
+
+	// Grouped-pass workspace (see forwardGroupedInfer): the per-group base
+	// rows, the row offset of each group, and the headers over wt's shared
+	// and gathered rows — kept here so they do not escape per call.
+	gBase         *mat.Matrix
+	gOff          []int
+	wtShared, wtG mat.Matrix
 
 	// ws holds the layer's grow-only packed-tile GEMM workspace (sized by
 	// ensureBatch, shared by every batched pass of this layer — all of

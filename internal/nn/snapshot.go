@@ -11,7 +11,7 @@ import (
 // (see internal/serve). Snapshot and Restore are the copy half of that
 // double-buffering: Snapshot captures weights without touching inference
 // state, and Restore installs them into a network whose inference-only
-// caches (the weight transpose of forwardBatchInfer) are refreshed in
+// caches (the weight transpose, see ensureInferCache) are refreshed in
 // place, so a restored network serves the new weights immediately instead
 // of from a stale cache.
 
@@ -51,8 +51,8 @@ func (n *Network) Snapshot(dst *Snapshot) *Snapshot {
 }
 
 // Restore installs a snapshot taken from a same-shaped network and
-// refreshes any inference-only caches so subsequent ForwardBatchInfer
-// calls serve the restored weights. The network must not be evaluated
+// refreshes any inference-only caches so subsequent ForwardBatchInfer and
+// ForwardGroupedInfer calls serve the restored weights. The network must not be evaluated
 // concurrently with Restore; the serving daemon guarantees that by only
 // restoring into buffers the batch loop has not yet been handed.
 func (n *Network) Restore(s *Snapshot) error {
@@ -68,24 +68,9 @@ func (n *Network) Restore(s *Snapshot) error {
 	for i, l := range n.Layers {
 		copy(l.W.Data, s.W[i])
 		copy(l.B, s.B[i])
-		l.refreshInferCache()
+		l.ensureInferCache(true)
 	}
 	return nil
-}
-
-// refreshInferCache rebuilds the lazily built weight transpose of
-// forwardBatchInfer in place, if it exists; the next inference pass then
-// sees the current weights without reallocating.
-func (d *Dense) refreshInferCache() {
-	if d.wt == nil {
-		return
-	}
-	for i := 0; i < d.Out; i++ {
-		row := d.W.Row(i)
-		for j, v := range row {
-			d.wt.Data[j*d.Out+i] = v
-		}
-	}
 }
 
 // Checksum returns an FNV-1a hash over the exact bit patterns of every

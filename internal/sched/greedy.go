@@ -74,8 +74,8 @@ func (g *Greedy) Schedule(e env.Environment) ([]int, error) {
 		affinity = 1.0
 	}
 	assign := make([]int, n)
-	load := make([]float64, m)    // accumulated service demand (ms per tuple)
-	placed := make([][]int, m)    // per machine: executor count per component
+	load := make([]float64, m) // accumulated service demand (ms per tuple)
+	placed := make([][]int, m) // per machine: executor count per component
 	for mm := range placed {
 		placed[mm] = make([]int, nc)
 	}

@@ -296,9 +296,9 @@ func (t *ModelBasedTrained) Schedule(e env.Environment) ([]int, error) {
 // AvgTupleTimeMS after training, and handing a StaticEnv to an untrained
 // scheduler is a programming error.
 type StaticEnv struct {
-	NExec    int
-	NMach    int
-	Rates    []float64
+	NExec int
+	NMach int
+	Rates []float64
 }
 
 // N implements env.Environment.

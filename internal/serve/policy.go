@@ -14,8 +14,11 @@ import (
 // exploitation-only actor-critic decision rule of Algorithm 1 (actor
 // proto-action → exact K-NN over feasible solutions → critic argmax),
 // restructured around the batched kernels so a micro-batch of H requests
-// costs one actor GEMM plus one critic GEMM over all H·K candidate rows,
-// instead of H GEMVs plus H·K critic rows scored one request at a time.
+// costs one actor GEMM plus one grouped critic pass over all H·K
+// candidates, instead of H GEMVs plus H·K critic rows scored one request
+// at a time. The candidates are never materialised as (state, action)
+// rows: each state enters the critic once, and each candidate is the list
+// of action columns K-NN chose (nn.Network.ForwardGroupedInfer).
 //
 // A Policy owns per-call scratch (including the Space's K-NN workspace),
 // so it is confined to a single goroutine — the model's batch loop.
@@ -32,10 +35,9 @@ type Policy struct {
 	pool *nn.Pool
 
 	// scratch, grown to the high-water batch size and reused
-	saCand    *mat.Matrix // (H·K)×(sdim+adim) candidate-scoring rows
-	saView    mat.Matrix  // rows-trimmed view of saCand
 	knn       [][]int
 	candCount []int
+	hot       []int32  // N action columns (executor·M + machine) per candidate
 	one       [1][]int // Select's fixed out slice
 }
 
@@ -115,7 +117,7 @@ func (p *Policy) SelectBatchExplore(states *mat.Matrix, noise [][]float64, out [
 	if noise != nil && len(noise) != h {
 		panic(fmt.Sprintf("serve: SelectBatchExplore got %d noise rows for %d states", len(noise), h))
 	}
-	sdim, adim := p.Codec.Dim(), p.Space.Dim()
+	n, m := p.Space.N, p.Space.M
 
 	// One actor GEMM for the whole micro-batch, through the inference-only
 	// path: the state rows are one-hot dominated, so the zero-skipping
@@ -133,11 +135,11 @@ func (p *Policy) SelectBatchExplore(states *mat.Matrix, noise [][]float64, out [
 		}
 	}
 
-	// Exact K-NN per request, candidates packed into one (s, a) matrix.
-	if p.saCand == nil {
-		p.saCand = &mat.Matrix{}
+	// Exact K-NN per request; each candidate is kept as the ascending list
+	// of its one-hot action columns, which is all the critic needs.
+	if cap(p.hot) < h*p.K*n {
+		p.hot = make([]int32, h*p.K*n)
 	}
-	p.saCand.Reshape(h*p.K, sdim+adim)
 	if cap(p.candCount) < h {
 		p.candCount = make([]int, h)
 	}
@@ -146,29 +148,28 @@ func (p *Policy) SelectBatchExplore(states *mat.Matrix, noise [][]float64, out [
 	for i := 0; i < h; i++ {
 		p.knn = p.Space.KNearestInto(protos.Row(i), p.K, p.knn)
 		candCount[i] = len(p.knn)
-		state := states.Row(i)
 		for _, cand := range p.knn {
-			row := p.saCand.Data[rows*(sdim+adim) : (rows+1)*(sdim+adim)]
-			copy(row[:sdim], state)
-			p.Space.Encode(cand, row[sdim:])
+			cols := p.hot[rows*n : (rows+1)*n]
+			for e, mach := range cand {
+				cols[e] = int32(e*m + mach)
+			}
 			rows++
 		}
 	}
 
-	// One critic GEMM over all H·K candidate rows (capacity constraints can
-	// yield fewer than K candidates; score only the filled rows).
-	p.saView = mat.Matrix{Rows: rows, Cols: sdim + adim, Data: p.saCand.Data[:rows*(sdim+adim)]}
-	q := p.Critic.ForwardBatchInfer(&p.saView)
+	// One critic pass over all H·K candidates, each state scored once
+	// (capacity constraints can yield fewer than K candidates per request).
+	q := p.Critic.ForwardGroupedInfer(states, candCount, p.hot[:rows*n], n)
 
-	// Per-request critic argmax; the winning action is recovered from its
-	// one-hot columns in the candidate matrix (the K-NN scratch has been
-	// overwritten by later requests by now).
+	// Per-request critic argmax; the winning action is read back from its
+	// column list (the K-NN scratch has been overwritten by later requests
+	// by now).
 	rows = 0
 	for i := 0; i < h; i++ {
 		if candCount[i] == 0 {
 			// No feasible candidate (over-constrained space): round-robin.
 			for r := range out[i] {
-				out[i][r] = r % p.Space.M
+				out[i][r] = r % m
 			}
 			continue
 		}
@@ -179,7 +180,9 @@ func (p *Policy) SelectBatchExplore(states *mat.Matrix, noise [][]float64, out [
 			}
 			rows++
 		}
-		p.decodeInto(p.saCand.Data[best*(sdim+adim)+sdim:(best+1)*(sdim+adim)], out[i])
+		for e, col := range p.hot[best*n : (best+1)*n] {
+			out[i][e] = int(col) - e*m
+		}
 	}
 }
 
@@ -189,19 +192,4 @@ func (p *Policy) Select(state []float64, out []int) {
 	one := mat.Matrix{Rows: 1, Cols: len(state), Data: state}
 	p.one[0] = out
 	p.SelectBatch(&one, p.one[:])
-}
-
-// decodeInto recovers an assignment from its flat one-hot encoding without
-// allocating.
-func (p *Policy) decodeInto(flat []float64, dst []int) {
-	m := p.Space.M
-	for r := 0; r < p.Space.N; r++ {
-		row := flat[r*m : (r+1)*m]
-		for j, v := range row {
-			if v != 0 {
-				dst[r] = j
-				break
-			}
-		}
-	}
 }

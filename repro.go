@@ -22,8 +22,8 @@
 //	best := ctrl.GreedySolution()    // trained scheduling solution
 //	fmt.Println(env.AvgTupleTimeMS(best))
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-vs-measured results.
+// See README.md for the system inventory and PERFORMANCE.md for measured
+// results.
 package repro
 
 import (
