@@ -123,7 +123,7 @@ func (br *BinFrameReader) Drain() error {
 	return err
 }
 
-// Encoders, in the WAL emitter's style (internal/durable appendRecord):
+// Encoders, in the WAL record codec's style (internal/durable appendRecord):
 // append-based, length patched into a reserved header slot once the
 // payload is known, zero intermediate buffers.
 

@@ -2,13 +2,12 @@ package core
 
 import "strconv"
 
-// Hand-rolled NDJSON emitters for the three wire messages, in the style
-// of the WAL's appendRecordJSON (internal/durable): append-based, field
-// order fixed, omitempty semantics matching the structs' JSON tags.
-// Reflection-based json.Marshal was ~6% of daemon CPU before the WAL
-// emitter was hand-rolled (PERFORMANCE.md §7); the serving hot path and
-// the shed paths now use these the same way. The emitted bytes decode to
-// values reflect.DeepEqual-identical to what encoding/json would produce
+// Hand-rolled NDJSON emitters for the three wire messages: append-based,
+// field order fixed, omitempty semantics matching the structs' JSON tags.
+// Reflection-based json.Marshal measured ~6% of daemon CPU on the journal
+// path alone (PERFORMANCE.md §7), so the serving hot path and the shed
+// paths use these instead. The emitted bytes decode to values
+// reflect.DeepEqual-identical to what encoding/json would produce
 // (asserted by the differential fuzz); callers add the '\n' framing.
 
 const hexDigits = "0123456789abcdef"
@@ -100,8 +99,8 @@ func AppendMeasurementJSON(b []byte, m *MeasurementMsg) []byte {
 }
 
 // appendJSONString emits s as a JSON string, escaping the quote, the
-// backslash and control bytes (same coverage as the WAL emitter's; the
-// protocol strings are tokens, topology names and error text).
+// backslash and control bytes (the protocol strings are tokens, topology
+// names and error text).
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	for i := 0; i < len(s); i++ {

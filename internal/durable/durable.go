@@ -1,24 +1,32 @@
 // Package durable is the crash-safe persistence layer for the serving
-// daemon: an append-only, CRC-framed, NDJSON write-ahead log of session
-// lifecycle events and distilled transitions, periodically compacted into
-// an atomic snapshot of the full serving state (session table, per-model
-// replay shards, learned weights). Recovery replays the WAL over the
-// newest snapshot, so a restarted daemon accepts the resumption tokens it
-// issued before the crash and keeps the weights it learned.
+// daemon: an append-only write-ahead log of CRC-framed binary records —
+// session lifecycle events and distilled transitions — periodically
+// compacted into an atomic snapshot of the full serving state (session
+// table, per-model replay shards, learned weights). Recovery replays the
+// WAL over the newest snapshot, so a restarted daemon accepts the
+// resumption tokens it issued before the crash and keeps the weights it
+// learned.
 //
 // Layout of a data directory:
 //
 //	snap-<seq>.json   newest complete snapshot (atomic tmp+rename)
-//	wal-<seq>.log     the WAL segment opened after snap-<seq-1>
+//	wal-<seq>.v2      the WAL segment opened after snap-<seq-1>
 //
-// One record per line: "crc32c<space>json\n", where the CRC covers the
-// JSON payload bytes. The framing is what recovery trusts: a torn tail
-// (power cut mid-append), a partial record, or trailing garbage fails its
-// CRC and truncates the log at the last intact record instead of
-// poisoning the replay. Records carry full per-session state (not
-// deltas) plus monotone generation / write-sequence numbers, so replaying
-// a record the snapshot already covers is a no-op — the property that
-// makes the snapshot cut safe to take concurrently with appends.
+// A segment is a sequence of frames, "u32 payload length | u32 CRC-32C |
+// payload" (wal.go has the payload layout); its format version is the file
+// extension, and a segment of any other version — the JSON-line
+// wal-<seq>.log this format replaced included — is refused at Open with
+// an error naming the file, never scanned. The framing is what recovery
+// trusts: a torn tail (power cut mid-append), a partial record, or
+// trailing garbage comes up short of its length or fails its CRC, and
+// truncates the log at the last intact record instead of poisoning the
+// replay. Decoding costs about as much as reading the bytes, which is
+// what bounds the time a restarted daemon — or a follower catching up
+// over the same frames — spends not serving.
+// Records carry full per-session state (not deltas) plus monotone
+// generation / write-sequence numbers, so replaying a record the snapshot
+// already covers is a no-op — the property that makes the snapshot cut
+// safe to take concurrently with appends.
 //
 // All appends go through a buffered asynchronous writer (the daemon's
 // batch loop and trainer never block on fsync); the fsync interval bounds
@@ -58,12 +66,13 @@ type SessionKey struct {
 
 func (k SessionKey) String() string { return fmt.Sprintf("%dx%d/%d", k.N, k.M, k.Spouts) }
 
-// F64s is a []float64 that serializes as base64 of the raw little-endian
-// IEEE-754 bits instead of decimal JSON numbers. Two reasons: exactness
-// is structural (every bit pattern round-trips, so recovered state is
-// bitwise state, no shortest-float reasoning needed), and encoding cost —
-// a WAL record is mostly float vectors, and encoding them as bytes keeps
-// the async writer far off the serving path's critical core.
+// F64s is a []float64 that serializes, in the JSON snapshot, as base64 of
+// the raw little-endian IEEE-754 bits instead of decimal numbers. Two
+// reasons: exactness is structural (every bit pattern round-trips, so
+// recovered state is bitwise state, no shortest-float reasoning needed),
+// and encoding cost — a snapshot is mostly float vectors, and it is
+// written on the core the serving path is using. (WAL frames carry the
+// same bits raw.)
 type F64s []float64
 
 // MarshalJSON implements json.Marshaler.
@@ -135,42 +144,42 @@ const (
 	RecEvict = "evict"
 )
 
-// Record is one WAL entry.
+// Record is one WAL entry (wal.go encodes it).
 type Record struct {
-	T     string     `json:"t"`
-	Token string     `json:"tok"`
-	Key   SessionKey `json:"k"`
+	T     string // RecEpoch or RecEvict
+	Token string
+	Key   SessionKey
 	// Gen is the session table's monotone mutation counter at the time of
 	// this record. Replay applies a record only when it is newer than the
 	// state already restored (from the snapshot or an earlier record);
 	// evictions likewise only drop state older than themselves, so an
 	// evict must never kill a later re-creation under the same token.
-	Gen uint64 `json:"g"`
+	Gen uint64
 
 	// Per-session resumable state (RecEpoch). Scalar floats travel as
-	// IEEE-754 bit patterns in integer fields (math.Float64bits): integer
-	// literals encode/decode faster than floats and every bit pattern —
-	// including non-finite ones a hostile client might provoke — stays
-	// representable JSON.
-	Epoch        int    `json:"e,omitempty"`
-	Assign       []int  `json:"a,omitempty"`
-	LearnEpoch   int    `json:"le,omitempty"`
-	RNGDraws     uint64 `json:"rd,omitempty"`
-	NormMeanBits uint64 `json:"nm,omitempty"`
-	NormVarBits  uint64 `json:"nv,omitempty"`
-	NormN        int    `json:"nn,omitempty"`
+	// IEEE-754 bit patterns (math.Float64bits), so every bit pattern —
+	// including non-finite ones a hostile client might provoke — round
+	// trips. A nil Assign and an empty one are distinct on disk.
+	Epoch        int
+	Assign       []int
+	LearnEpoch   int
+	RNGDraws     uint64
+	NormMeanBits uint64
+	NormVarBits  uint64
+	NormN        int
 
 	// Workload is the epoch's measured spout rates (learning mode only):
 	// together with the previous record's Assign it re-derives the state
 	// encoding s_t that the live path stored as the pending transition.
-	Workload F64s `json:"w,omitempty"`
+	// An empty Workload decodes as nil.
+	Workload F64s
 	// TransSeq, when non-zero, says this epoch distilled a transition
 	// into the session's replay shard (its write sequence, for deduping
 	// against the snapshot), with RewardBits as the stored normalized
 	// reward; the transition's state/action vectors are re-derived from
 	// the record chain.
-	TransSeq   uint64 `json:"ts,omitempty"`
-	RewardBits uint64 `json:"r,omitempty"`
+	TransSeq   uint64
+	RewardBits uint64
 }
 
 // SessionSnap is one session's state inside a snapshot — the same fields

@@ -154,8 +154,17 @@ func (c LogConfig) withDefaults() LogConfig {
 func snapPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%d.json", seq))
 }
+
+// walExt is the WAL segment format version, carried in the segment's file
+// name so byte offsets into a segment (Position.Off, DirState.WalOff, the
+// ship hello) keep starting at zero. v1 was "wal-<seq>.log", the JSON-line
+// format; a segment under any other extension is refused by recoverDir,
+// never scanned — a length-prefixed scan of JSON lines would fail at
+// offset 0, look like a torn tail, and Open would truncate the file.
+const walExt = ".v2"
+
 func walPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%d.log", seq))
+	return filepath.Join(dir, fmt.Sprintf("wal-%d%s", seq, walExt))
 }
 
 // Recover scans a data directory read-only: it loads the newest snapshot,
@@ -186,10 +195,17 @@ func recoverDir(dir string, cfg LogConfig) (*Recovered, DirState, error) {
 			if seq, err := strconv.ParseUint(name[5:len(name)-5], 10, 64); err == nil {
 				snapSeqs = append(snapSeqs, seq)
 			}
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			if seq, err := strconv.ParseUint(name[4:len(name)-4], 10, 64); err == nil {
-				walSeqs = append(walSeqs, seq)
+		case strings.HasPrefix(name, "wal-"):
+			stem, ext, _ := strings.Cut(name[4:], ".")
+			seq, err := strconv.ParseUint(stem, 10, 64)
+			if err != nil {
+				continue
 			}
+			if "."+ext != walExt {
+				return nil, DirState{}, fmt.Errorf("durable: %s is a WAL segment of another format version (this build reads wal-<seq>%s; wal-<seq>.log is the JSON-line format it replaced); refusing to guess at persisted state",
+					filepath.Join(dir, name), walExt)
+			}
+			walSeqs = append(walSeqs, seq)
 		}
 	}
 	sort.Slice(snapSeqs, func(i, j int) bool { return snapSeqs[i] < snapSeqs[j] })

@@ -120,7 +120,7 @@ func TestLogSnapshotRotation(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if len(names) != 2 { // snap-1.json + wal-2.log
+	if len(names) != 2 { // snap-1.json + wal-2.v2
 		t.Fatalf("rotation left %v, want exactly one snapshot + one live segment", names)
 	}
 }
@@ -145,7 +145,7 @@ func TestLogSnapshotNewerThanWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "wal-1.log"), stale, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "wal-1"+walExt), stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -197,7 +197,7 @@ func TestLogTornTailTruncatedOnReopen(t *testing.T) {
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "wal-1.log")
+	path := filepath.Join(dir, "wal-1"+walExt)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package durable
 
 import (
 	"bufio"
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -287,42 +287,38 @@ func (ss *ShipServer) shipSnapshot(bw *bufio.Writer, seq uint64, reset bool, lre
 
 // readFrameChunk reads shippable bytes from f at [off, limit) and cuts
 // the chunk on a record-frame boundary: at most chunkMax bytes normally,
-// more only when a single frame is larger than the whole chunk. The
-// range's end is frame-aligned by construction (limit is a flushed
-// position or a sealed segment's size, both from frame scans), so an
-// uncapped read needs no alignment; a capped read is aligned down to its
-// last '\n' — record frames never contain a raw newline
-// (appendJSONString escapes control bytes), so every one is a frame
-// boundary.
+// more only when a single frame is larger than the whole chunk. Both ends
+// of the range are frame-aligned by construction (off is a previous cut or
+// a hello position, limit is a flushed position or a sealed segment's
+// size, all from frame scans), so an uncapped read needs no alignment; a
+// capped read is aligned down by walking the length prefixes from off.
 func readFrameChunk(f *os.File, off, limit, chunkMax int64) ([]byte, error) {
-	n := limit - off
-	if n > chunkMax {
-		n = chunkMax
-	}
+	n := min(limit-off, max(chunkMax, walFrameHeader)) // always see the first header
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf); err != nil {
 		return nil, err
 	}
-	for off+int64(len(buf)) < limit {
-		if i := bytes.LastIndexByte(buf, '\n'); i >= 0 {
-			return buf[:i+1], nil
-		}
-		// No delimiter yet: one frame spans the whole chunk. Grow until
-		// its end so the follower always receives whole frames — a
-		// partial frame would be dropped as torn and the connection
-		// cycled without ever advancing.
-		grow := int64(len(buf))
-		if rem := limit - off - int64(len(buf)); grow > rem {
-			grow = rem
-		}
-		if int64(len(buf))+grow > shipFrameMax {
-			return nil, fmt.Errorf("no frame boundary within %d bytes", shipFrameMax)
-		}
-		ext := make([]byte, grow)
-		if _, err := io.ReadFull(io.NewSectionReader(f, off+int64(len(buf)), grow), ext); err != nil {
-			return nil, err
-		}
-		buf = append(buf, ext...)
+	if off+n == limit {
+		return buf, nil
+	}
+	end := 0
+	for fl := frameSize(buf); fl > 0; fl = frameSize(buf[end:]) {
+		end += fl
+	}
+	if end > 0 {
+		return buf[:end], nil
+	}
+	// One frame spans the whole chunk; its header says where it ends. Read
+	// to there so the follower always receives whole frames — a partial
+	// frame would be dropped as torn and the connection cycled without
+	// ever advancing.
+	fl := int64(binary.LittleEndian.Uint32(buf)) + walFrameHeader
+	if fl > shipFrameMax || fl > limit-off {
+		return nil, fmt.Errorf("frame header claims %d bytes (bound %d, %d left in the segment)", fl, int64(shipFrameMax), limit-off)
+	}
+	buf = append(buf, make([]byte, fl-n)...)
+	if _, err := io.ReadFull(io.NewSectionReader(f, off+n, fl-n), buf[n:]); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }

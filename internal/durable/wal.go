@@ -1,179 +1,208 @@
 package durable
 
 import (
-	"bytes"
-	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
-	"strconv"
 )
 
-// WAL record framing: one record per line,
+// WAL record framing: length-prefixed binary frames, back to back,
 //
-//	%08x<space><json payload>\n
+//	u32 LE payload length | u32 LE CRC-32C(payload) | payload
 //
-// where the hex field is the CRC-32C (Castagnoli) of the payload bytes.
-// The newline is the frame delimiter and the CRC is the integrity check;
-// together they make every corruption mode detectable: a torn tail has no
-// newline, a partial or bit-flipped record fails its CRC, and trailing
-// garbage fails to parse a CRC field at all.
+// The length says where the frame ends and the CRC (Castagnoli) is the
+// integrity check; together they make every corruption mode detectable:
+// a torn tail is shorter than its header promises, a partial or
+// bit-flipped record fails its CRC (a flipped length moves the payload
+// window, which fails it too), and trailing garbage fails one or the
+// other. A frame longer than shipFrameMax is corruption by definition —
+// the bound is checked before anything is sliced or allocated.
+//
+// The payload is positional and canonical, under the rules of
+// core/binframe.go (one byte string per record value, so re-encoding a
+// decoded frame reproduces its bytes):
+//
+//	type      1 byte (walEpoch | walEvict)
+//	Token     uvarint length + raw bytes
+//	Key       uvarint N, M, Spouts
+//	Gen, Epoch, LearnEpoch, RNGDraws, NormN, TransSeq   one uvarint each
+//	Assign    uvarint count+1 (0 = nil), then one uvarint per entry
+//	NormMeanBits, NormVarBits, RewardBits               u64 LE each
+//	Workload  uvarint count, then one u64 LE (IEEE-754 bits) per entry
+//
+// Ints travel as their two's-complement uint64, so every value round
+// trips; uvarints must be minimal-length and every count is checked
+// against the bytes remaining before anything is allocated.
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-const hexDigits = "0123456789abcdef"
+// walFrameHeader is the fixed frame prefix: payload length + CRC.
+const walFrameHeader = 8
+
+// Record-type bytes of the two Record.T values.
+const (
+	walEpoch = 1
+	walEvict = 2
+)
+
+var errBadRecord = errors.New("durable: malformed record payload")
 
 // appendRecord encodes r framed for the WAL onto buf and returns it. The
-// payload is built by a hand-rolled emitter rather than encoding/json:
-// the WAL writer shares one core with the serving path, and reflection
-// marshal was measured at ~6% of daemon CPU under load — the emitter
-// makes it noise. Output stays plain JSON that the std decoder reads
-// back (asserted by the round-trip tests and the fuzz target).
+// WAL writer shares one core with the serving path, so this is append-only
+// with the header patched once the payload is known — no reflection, no
+// intermediate buffer.
 func appendRecord(buf []byte, r *Record) ([]byte, error) {
+	var typ byte
+	switch r.T {
+	case RecEpoch:
+		typ = walEpoch
+	case RecEvict:
+		typ = walEvict
+	default:
+		return buf, fmt.Errorf("durable: unknown record type %q", r.T)
+	}
 	start := len(buf)
-	buf = append(buf, "00000000 "...) // CRC placeholder, patched below
-	p0 := len(buf)
-	buf = appendRecordJSON(buf, r)
-	crc := crc32.Checksum(buf[p0:], crcTable)
-	for i := 7; i >= 0; i-- {
-		buf[start+i] = hexDigits[crc&0xf]
-		crc >>= 4
+	b := append(buf, 0, 0, 0, 0, 0, 0, 0, 0, typ) // header patched below
+	b = binary.AppendUvarint(b, uint64(len(r.Token)))
+	b = append(b, r.Token...)
+	for _, v := range [...]uint64{
+		uint64(r.Key.N), uint64(r.Key.M), uint64(r.Key.Spouts),
+		r.Gen, uint64(r.Epoch), uint64(r.LearnEpoch), r.RNGDraws, uint64(r.NormN), r.TransSeq,
+	} {
+		b = binary.AppendUvarint(b, v)
 	}
-	buf = append(buf, '\n')
-	return buf, nil
-}
-
-// appendRecordJSON emits r as one JSON object, matching the Record
-// struct's field tags (omitempty semantics included, so encoder output is
-// also byte-stable for identical records).
-func appendRecordJSON(b []byte, r *Record) []byte {
-	b = append(b, `{"t":`...)
-	b = appendJSONString(b, r.T)
-	b = append(b, `,"tok":`...)
-	b = appendJSONString(b, r.Token)
-	b = append(b, `,"k":{"n":`...)
-	b = strconv.AppendInt(b, int64(r.Key.N), 10)
-	b = append(b, `,"m":`...)
-	b = strconv.AppendInt(b, int64(r.Key.M), 10)
-	b = append(b, `,"s":`...)
-	b = strconv.AppendInt(b, int64(r.Key.Spouts), 10)
-	b = append(b, `},"g":`...)
-	b = strconv.AppendUint(b, r.Gen, 10)
-	if r.Epoch != 0 {
-		b = append(b, `,"e":`...)
-		b = strconv.AppendInt(b, int64(r.Epoch), 10)
-	}
-	if r.Assign != nil {
-		b = append(b, `,"a":[`...)
-		for i, v := range r.Assign {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(v), 10)
-		}
-		b = append(b, ']')
-	}
-	if r.LearnEpoch != 0 {
-		b = append(b, `,"le":`...)
-		b = strconv.AppendInt(b, int64(r.LearnEpoch), 10)
-	}
-	if r.RNGDraws != 0 {
-		b = append(b, `,"rd":`...)
-		b = strconv.AppendUint(b, r.RNGDraws, 10)
-	}
-	if r.NormMeanBits != 0 {
-		b = append(b, `,"nm":`...)
-		b = strconv.AppendUint(b, r.NormMeanBits, 10)
-	}
-	if r.NormVarBits != 0 {
-		b = append(b, `,"nv":`...)
-		b = strconv.AppendUint(b, r.NormVarBits, 10)
-	}
-	if r.NormN != 0 {
-		b = append(b, `,"nn":`...)
-		b = strconv.AppendInt(b, int64(r.NormN), 10)
-	}
-	if len(r.Workload) > 0 {
-		b = append(b, `,"w":`...)
-		b = appendF64sJSON(b, r.Workload)
-	}
-	if r.TransSeq != 0 {
-		b = append(b, `,"ts":`...)
-		b = strconv.AppendUint(b, r.TransSeq, 10)
-	}
-	if r.RewardBits != 0 {
-		b = append(b, `,"r":`...)
-		b = strconv.AppendUint(b, r.RewardBits, 10)
-	}
-	return append(b, '}')
-}
-
-// appendJSONString emits s as a JSON string. Tokens are client-chosen
-// bytes, so quotes, backslashes and control characters must escape; other
-// bytes pass through (the std decoder treats them as UTF-8, exactly as
-// encoding/json would have emitted them).
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"':
-			b = append(b, '\\', '"')
-		case c == '\\':
-			b = append(b, '\\', '\\')
-		case c < 0x20:
-			b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		default:
-			b = append(b, c)
+	if r.Assign == nil {
+		b = append(b, 0)
+	} else {
+		b = binary.AppendUvarint(b, uint64(len(r.Assign))+1)
+		for _, v := range r.Assign {
+			b = binary.AppendUvarint(b, uint64(v))
 		}
 	}
-	return append(b, '"')
+	b = binary.LittleEndian.AppendUint64(b, r.NormMeanBits)
+	b = binary.LittleEndian.AppendUint64(b, r.NormVarBits)
+	b = binary.LittleEndian.AppendUint64(b, r.RewardBits)
+	b = binary.AppendUvarint(b, uint64(len(r.Workload)))
+	for _, v := range r.Workload {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	payload := b[start+walFrameHeader:]
+	if len(b)-start > shipFrameMax {
+		return buf, fmt.Errorf("durable: record frame of %d bytes exceeds the %d-byte bound", len(b)-start, shipFrameMax)
+	}
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, crcTable))
+	return b, nil
 }
 
-// appendF64sJSON emits v in the F64s wire form (base64 of little-endian
-// bits) without the intermediate allocations of the MarshalJSON path.
-// Blocks of 3 floats are 24 bytes — a whole number of base64 quanta — so
-// concatenated blocks decode identically to one-shot encoding.
-func appendF64sJSON(b []byte, v F64s) []byte {
-	b = append(b, '"')
-	enc := base64.StdEncoding
-	var block [24]byte
-	var out [32]byte
-	for i := 0; i < len(v); i += 3 {
-		n := len(v) - i
-		if n > 3 {
-			n = 3
-		}
-		for j := 0; j < n; j++ {
-			binary.LittleEndian.PutUint64(block[j*8:], math.Float64bits(v[i+j]))
-		}
-		m := enc.EncodedLen(n * 8)
-		enc.Encode(out[:m], block[:n*8])
-		b = append(b, out[:m]...)
-	}
-	return append(b, '"')
+// walCursor consumes a payload in place; the first malformed read poisons
+// it, so decodeRecord reads straight through and checks once at the end.
+type walCursor struct {
+	p   []byte
+	bad bool
 }
 
-// decodeLine parses one framed line (without its trailing newline).
-func decodeLine(line []byte) (*Record, error) {
-	if len(line) < 10 || line[8] != ' ' {
-		return nil, fmt.Errorf("durable: malformed frame header")
+// uvarint reads one minimal-length uvarint. A padded encoding (trailing
+// zero group) is rejected: every value has exactly one byte string.
+func (c *walCursor) uvarint() uint64 {
+	if !c.bad && len(c.p) > 0 && c.p[0] < 0x80 { // one byte: nearly every field
+		v := c.p[0]
+		c.p = c.p[1:]
+		return uint64(v)
 	}
-	var crc uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &crc); err != nil {
-		return nil, fmt.Errorf("durable: malformed frame crc: %w", err)
+	v, n := binary.Uvarint(c.p)
+	if c.bad || n <= 0 || c.p[n-1] == 0 {
+		c.bad = true
+		return 0
 	}
-	payload := line[9:]
-	if got := crc32.Checksum(payload, crcTable); got != crc {
-		return nil, fmt.Errorf("durable: frame crc mismatch: recorded %08x, computed %08x", crc, got)
+	c.p = c.p[n:]
+	return v
+}
+
+func (c *walCursor) u64() uint64 {
+	if c.bad || len(c.p) < 8 {
+		c.bad = true
+		return 0
 	}
+	v := binary.LittleEndian.Uint64(c.p)
+	c.p = c.p[8:]
+	return v
+}
+
+// count reads an element count and checks it against the bytes remaining
+// (each element takes at least size bytes) before the caller allocates.
+func (c *walCursor) count(size int) int {
+	n := c.uvarint()
+	if c.bad || n > uint64(len(c.p)/size) {
+		c.bad = true
+		return 0
+	}
+	return int(n)
+}
+
+// decodeRecord parses one CRC-verified payload.
+func decodeRecord(p []byte) (*Record, error) {
 	rec := &Record{}
-	if err := json.Unmarshal(payload, rec); err != nil {
-		return nil, fmt.Errorf("durable: frame payload: %w", err)
+	switch {
+	case len(p) > 0 && p[0] == walEpoch:
+		rec.T = RecEpoch
+	case len(p) > 0 && p[0] == walEvict:
+		rec.T = RecEvict
+	default:
+		return nil, errBadRecord
+	}
+	c := walCursor{p: p[1:]}
+	if n := c.count(1); n > 0 {
+		rec.Token = string(c.p[:n])
+		c.p = c.p[n:]
+	}
+	rec.Key.N = int(c.uvarint())
+	rec.Key.M = int(c.uvarint())
+	rec.Key.Spouts = int(c.uvarint())
+	rec.Gen = c.uvarint()
+	rec.Epoch = int(c.uvarint())
+	rec.LearnEpoch = int(c.uvarint())
+	rec.RNGDraws = c.uvarint()
+	rec.NormN = int(c.uvarint())
+	rec.TransSeq = c.uvarint()
+	// The count travels +1 (0 = nil). Checking the +1 form against the
+	// bytes left is exact enough: 25 bytes always follow the entries.
+	if n := c.count(1); n > 0 {
+		rec.Assign = make([]int, n-1)
+		for i := range rec.Assign {
+			rec.Assign[i] = int(c.uvarint())
+		}
+	}
+	rec.NormMeanBits = c.u64()
+	rec.NormVarBits = c.u64()
+	rec.RewardBits = c.u64()
+	if n := c.count(8); n > 0 {
+		rec.Workload = make(F64s, n)
+		for i := range rec.Workload {
+			rec.Workload[i] = math.Float64frombits(c.u64())
+		}
+	}
+	if c.bad || len(c.p) != 0 {
+		return nil, errBadRecord // trailing bytes are as malformed as missing ones
 	}
 	return rec, nil
+}
+
+// frameSize returns the total size (header included) of the frame that
+// starts data, or 0 when data is too short to hold it or the length field
+// is out of bounds.
+func frameSize(data []byte) int {
+	if len(data) < walFrameHeader {
+		return 0
+	}
+	n := int64(binary.LittleEndian.Uint32(data)) + walFrameHeader
+	if n > shipFrameMax || n > int64(len(data)) {
+		return 0
+	}
+	return int(n)
 }
 
 // scanWALBytes decodes framed records from data. It returns the decoded
@@ -186,16 +215,20 @@ func decodeLine(line []byte) (*Record, error) {
 func scanWALBytes(data []byte) (recs []*Record, validLen int64, truncated bool) {
 	off := 0
 	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			return recs, int64(off), true // torn tail: no frame delimiter
+		n := frameSize(data[off:])
+		if n == 0 {
+			return recs, int64(off), true // torn tail or a garbage length
 		}
-		rec, err := decodeLine(data[off : off+nl])
+		payload := data[off+walFrameHeader : off+n]
+		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[off+4:]) {
+			return recs, int64(off), true
+		}
+		rec, err := decodeRecord(payload)
 		if err != nil {
 			return recs, int64(off), true
 		}
 		recs = append(recs, rec)
-		off += nl + 1
+		off += n
 	}
 	return recs, int64(off), false
 }

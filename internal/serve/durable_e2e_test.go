@@ -292,7 +292,7 @@ func TestDurableTrailingGarbageKeepsServing(t *testing.T) {
 	crashA()
 
 	// Smash the tail.
-	wal := filepath.Join(dir, "wal-1.log")
+	wal := filepath.Join(dir, "wal-1.v2")
 	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -63,11 +63,15 @@ func (s *Server) openLog() (*durable.Log, *durable.Recovered, error) {
 // server, and activates the journaling hooks. Called by Serve before any
 // model batch loop starts.
 func (s *Server) openDurable() error {
+	// The recovery clock covers everything a client waits for between exec
+	// and the first accepted hello: the directory scan and record decode
+	// inside Open, then the replay.
+	start := time.Now()
 	lg, recovered, err := s.openLog()
 	if err != nil {
 		return err
 	}
-	start := time.Now()
+	scan := time.Since(start)
 	nModels, err := s.recoverDurable(recovered)
 	if err != nil {
 		_ = lg.Close() // recovery failure is the error that matters
@@ -81,8 +85,9 @@ func (s *Server) openDurable() error {
 	// directly and must not journal their own replay.
 	s.dur = lg
 	if recovered.Snapshot != nil || len(recovered.Records) > 0 {
-		log.Printf("serve: recovered %d sessions, %d models, %d WAL records from %s in %v",
-			s.sessions.len(), nModels, len(recovered.Records), s.cfg.DataDir, elapsed.Round(time.Millisecond))
+		log.Printf("serve: recovered %d sessions, %d models, %d WAL records from %s in %v (scan %v, apply %v)",
+			s.sessions.len(), nModels, len(recovered.Records), s.cfg.DataDir, elapsed.Round(time.Millisecond),
+			scan.Round(time.Millisecond), (elapsed - scan).Round(time.Millisecond))
 	}
 	return nil
 }
@@ -343,13 +348,16 @@ func (s *Server) applyEpochRecord(r *durable.Record) {
 		}
 		mdl := s.model(key)
 		if oldAssign != nil && len(r.Workload) == key.spouts && mdl.ensureLearner() == nil && mdl.learner != nil {
-			state := mdl.pol.Codec.Encode(oldAssign, r.Workload, nil) // s_t
+			// s_t, the epoch's one state vector: never written again, so the
+			// transition it closes, the pending slot and the transition it
+			// opens all share it (see the live epoch tail in handleConn).
+			state := mdl.pol.Codec.Encode(oldAssign, r.Workload, nil)
 			if r.TransSeq > 0 && st.hasPrev {
 				mdl.learner.replay.AddRecovered(r.Token, r.TransSeq, rl.Transition{
-					State:     append([]float64(nil), st.prevState...),
+					State:     st.prevState,
 					Action:    mdl.pol.Space.Encode(st.prevAssign, nil),
 					Reward:    math.Float64frombits(r.RewardBits),
-					NextState: append([]float64(nil), state...),
+					NextState: state,
 				})
 			}
 			st.prevState = state
@@ -430,7 +438,9 @@ func (t *sessionTable) applyRecovered(ss *durable.SessionSnap) {
 	st.assign = append(st.assign[:0], ss.Assign...)
 	st.learnEpoch = ss.LearnEpoch
 	st.norm.SetState(ss.NormMean, ss.NormVar, ss.NormN)
-	st.prevState = append(st.prevState[:0], ss.PrevState...)
+	// A fresh vector, never an overwrite: the old one may be a stored
+	// transition's NextState.
+	st.prevState = append([]float64(nil), ss.PrevState...)
 	st.prevAssign = append(st.prevAssign[:0], ss.PrevAssign...)
 	st.hasPrev = ss.HasPrev
 	st.live = false

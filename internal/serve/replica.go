@@ -56,11 +56,11 @@ func (s *Server) startReplicaTo(ctx context.Context, addr string) error {
 	if s.cfg.DataDir == "" {
 		return fmt.Errorf("serve: ReplicateFrom requires DataDir (the replication mirror)")
 	}
+	start := time.Now() // the mirror's scan + decode is recovery time too
 	rec, st, err := durable.Recover(s.cfg.DataDir, durable.LogConfig{Logf: log.Printf})
 	if err != nil {
 		return err
 	}
-	start := time.Now()
 	nModels, err := s.recoverDurable(rec)
 	if err != nil {
 		return err

@@ -288,7 +288,15 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		}
 		var transSeq uint64
 		var transReward float64
+		var state []float64
 		if learner != nil {
+			// s_t leaves the request's reused buffer once, as the epoch's one
+			// immutable state vector: NextState of the transition this
+			// measurement closes, the pending prevState, and next epoch the
+			// State of the transition it opens all share it uncopied —
+			// stored transitions are immutable and nothing writes through
+			// st.prevState, it is only ever replaced.
+			state = append([]float64(nil), req.state...)
 			// The measurement closes the pending transition (s_{t−1},
 			// a_{t−1}): its reward is the (standardized) negative latency
 			// this epoch reported for deploying a_{t−1}. A deploy failure
@@ -297,10 +305,10 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 			if meas.Err == "" && !stale && st.hasPrev {
 				st.mu.Lock() // Normalize mutates journaled normalizer state
 				t := rl.Transition{
-					State:     append([]float64(nil), st.prevState...),
+					State:     st.prevState,
 					Action:    mdl.pol.Space.Encode(st.prevAssign, nil),
 					Reward:    st.norm.Normalize(-meas.AvgTupleTimeMS),
-					NextState: append([]float64(nil), req.state...),
+					NextState: state,
 				}
 				st.mu.Unlock()
 				transSeq = learner.observe(st.token, t)
@@ -312,7 +320,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		if learner != nil {
 			// Open the next pending transition: (s_t, a_t) awaits the next
 			// epoch's reward.
-			st.prevState = append(st.prevState[:0], req.state...)
+			st.prevState = state
 			st.prevAssign = append(st.prevAssign[:0], st.assign...)
 			st.hasPrev = true
 		}

@@ -88,6 +88,9 @@ type sessionState struct {
 	learnEpoch int        // position in the ε-decay schedule
 	rng        *rand.Rand // exploration RNG, seeded from the token
 	norm       core.RewardNormalizer
+	// prevState is shared, uncopied, with stored transitions (it is one's
+	// NextState and becomes the next one's State): replace it, never write
+	// through it.
 	prevState  []float64 // s_{t−1}, the pending transition's state
 	prevAssign []int     // a_{t−1}, the pending transition's action
 	hasPrev    bool
